@@ -692,7 +692,7 @@ func predictorFromModel(m *snapshot.Model, secs []snapshot.Section) (*Predictor,
 // Serving layer re-exports.
 type (
 	// ServeOptions bounds the HTTP prediction server's resource envelope
-	// (in-flight requests, batch size, body size, shutdown grace,
+	// (in-flight requests, batch size, shutdown grace,
 	// Retry-After scaling, hot-reload source).
 	ServeOptions = serve.Options
 	// ServeModelInfo is the model description part of /v1/model.

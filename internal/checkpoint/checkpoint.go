@@ -299,8 +299,8 @@ func encode(f *progressFile) ([]byte, error) {
 	return append(out, sum[:]...), nil
 }
 
-// decode parses and verifies the envelope: magic and version first, then
-// the checksum, and only then the JSON decode.
+// decode parses and verifies the envelope: magic, version and flags
+// first, then the checksum, and only then the JSON decode.
 func decode(blob []byte) (*progressFile, error) {
 	if len(blob) < 24+8 {
 		return nil, fmt.Errorf("checkpoint: file truncated at %d bytes", len(blob))
@@ -312,7 +312,13 @@ func decode(blob []byte) (*progressFile, error) {
 	if version > Version {
 		return nil, fmt.Errorf("checkpoint: file version %d, this build reads <= %d", version, Version)
 	}
+	// The checksum covers only the payload, so a flipped header flag bit
+	// would otherwise load silently: refuse any bit this build does not
+	// know.
 	flags := binary.BigEndian.Uint32(blob[12:16])
+	if unknown := flags &^ uint32(flagGzip); unknown != 0 {
+		return nil, fmt.Errorf("checkpoint: unknown flags %#x (corrupt header or newer format)", unknown)
+	}
 	n := binary.BigEndian.Uint64(blob[16:24])
 	if n > maxPayload || n != uint64(len(blob)-24-8) {
 		return nil, fmt.Errorf("checkpoint: declared payload length %d does not fit a %d-byte file", n, len(blob))

@@ -99,6 +99,37 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestFlagBitFlipsRefused: the checksum covers only the payload, so the
+// header's flag bytes must be checked on their own — every single-bit
+// flip of them must fail the resume instead of loading silently.
+func TestFlagBitFlipsRefused(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir, 11, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update("s", Progress{Done: 1, Total: 2}, payload{Scores: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(m.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 11, true); err != nil {
+		t.Fatalf("unflipped checkpoint: %v", err)
+	}
+	for bit := 12 * 8; bit < 16*8; bit++ {
+		blob := append([]byte(nil), good...)
+		blob[bit/8] ^= 1 << (bit % 8)
+		if err := os.WriteFile(m.Path(), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, 11, true); err == nil {
+			t.Errorf("flag byte %d bit %d flipped: checkpoint resumed without error", bit/8, bit%8)
+		}
+	}
+}
+
 func TestMissingFileResumesFresh(t *testing.T) {
 	m, err := Open(t.TempDir(), 9, true)
 	if err != nil {

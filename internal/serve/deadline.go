@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/http"
 	"strconv"
@@ -31,6 +32,11 @@ var (
 	mDeadlineRejected = obs.C("serve.deadline_rejected")
 	mDeadlineExceeded = obs.C("serve.deadline_exceeded")
 )
+
+// errBudgetExhausted is a backend's answer when a request was admitted
+// but its budget ran out before the work finished; the front answers it
+// with a retryable 504.
+var errBudgetExhausted = errors.New("deadline budget exhausted mid-request")
 
 // parseDeadline reads the request's remaining budget. ok=false means no
 // (usable) budget was stamped; a non-positive budget is reported as ok
@@ -105,16 +111,6 @@ func admitDeadline(w http.ResponseWriter, r *http.Request, est *latEstimator, tr
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	return ctx, cancel, true
-}
-
-// deadlineExceeded writes the mid-flight budget exhaustion response: the
-// request was admitted but its budget ran out before the work finished.
-func deadlineExceeded(w http.ResponseWriter, tr *obs.Trace) {
-	if obs.On() {
-		mDeadlineExceeded.Inc()
-	}
-	tr.Rung("serve.deadline_exceeded")
-	writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline budget exhausted mid-request"})
 }
 
 // stampDeadline writes the remaining budget of ctx onto an outbound

@@ -9,38 +9,42 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/ring"
 )
 
 // TestEveryResponseCarriesRequestIDAndContentType is the response-header
 // audit: every handler, on every status class it can produce — success,
 // 4xx, shed-503, panic-500, even the mux's own 404 — must answer with an
-// X-Request-ID and an explicit Content-Type.
+// X-Request-ID and an explicit Content-Type. Cases marked router run
+// against a Router too (its replicas are never reached by them).
 func TestEveryResponseCarriesRequestIDAndContentType(t *testing.T) {
-	cases := []struct {
+	type headerCase struct {
 		name       string
+		router     bool // the case also runs against a Router
 		method     string
 		path       string
 		body       string
 		status     int
 		ctPrefix   string
-		prep       func(t *testing.T, s *Server)
+		prep       func(t *testing.T, f *front)
 		wantHeader map[string]bool // extra headers that must be present
-	}{
-		{name: "healthz", method: "GET", path: "/healthz", status: 200, ctPrefix: "text/plain"},
-		{name: "readyz ready", method: "GET", path: "/readyz", status: 200, ctPrefix: "text/plain"},
-		{name: "readyz draining", method: "GET", path: "/readyz", status: 503, ctPrefix: "text/plain",
-			prep: func(_ *testing.T, s *Server) { s.SetReady(false) }},
-		{name: "metrics", method: "GET", path: "/metrics", status: 200, ctPrefix: "text/plain; version=0.0.4"},
-		{name: "metrics wrong method", method: "POST", path: "/metrics", status: 405, ctPrefix: "application/json"},
-		{name: "model", method: "GET", path: "/v1/model", status: 200, ctPrefix: "application/json"},
+	}
+	cases := []headerCase{
+		{name: "healthz", router: true, method: "GET", path: "/healthz", status: 200, ctPrefix: "text/plain"},
+		{name: "readyz ready", router: true, method: "GET", path: "/readyz", status: 200, ctPrefix: "text/plain"},
+		{name: "readyz draining", router: true, method: "GET", path: "/readyz", status: 503, ctPrefix: "text/plain",
+			prep: func(_ *testing.T, f *front) { f.SetReady(false) }},
+		{name: "metrics", router: true, method: "GET", path: "/metrics", status: 200, ctPrefix: "text/plain; version=0.0.4"},
+		{name: "metrics wrong method", router: true, method: "POST", path: "/metrics", status: 405, ctPrefix: "application/json"},
+		{name: "model", router: true, method: "GET", path: "/v1/model", status: 200, ctPrefix: "application/json"},
 		{name: "predict ok", method: "POST", path: "/v1/predict", body: "VALID", status: 200, ctPrefix: "application/json"},
-		{name: "predict wrong method", method: "GET", path: "/v1/predict", status: 405, ctPrefix: "application/json"},
-		{name: "predict bad json", method: "POST", path: "/v1/predict", body: "{nope", status: 400, ctPrefix: "application/json"},
-		{name: "predict missing context", method: "POST", path: "/v1/predict", body: "{}", status: 400, ctPrefix: "application/json"},
-		{name: "batch over cap", method: "POST", path: "/v1/predict/batch", body: "BATCH2", status: 413, ctPrefix: "application/json",
-			prep: func(_ *testing.T, s *Server) { s.opts.MaxBatch = 1 }},
-		{name: "predict shed", method: "POST", path: "/v1/predict", body: "VALID", status: 503, ctPrefix: "application/json",
-			prep:       func(_ *testing.T, s *Server) { s.lim.tryAcquire() },
+		{name: "predict wrong method", router: true, method: "GET", path: "/v1/predict", status: 405, ctPrefix: "application/json"},
+		{name: "predict bad json", router: true, method: "POST", path: "/v1/predict", body: "{nope", status: 400, ctPrefix: "application/json"},
+		{name: "predict missing context", router: true, method: "POST", path: "/v1/predict", body: "{}", status: 400, ctPrefix: "application/json"},
+		{name: "batch over cap", router: true, method: "POST", path: "/v1/predict/batch", body: "BATCH2", status: 413, ctPrefix: "application/json",
+			prep: func(_ *testing.T, f *front) { f.opts.MaxBatch = 1 }},
+		{name: "predict shed", router: true, method: "POST", path: "/v1/predict", body: "VALID", status: 503, ctPrefix: "application/json",
+			prep:       func(_ *testing.T, f *front) { f.lim.tryAcquire() },
 			wantHeader: map[string]bool{"Retry-After": true}},
 		{name: "reload wrong method", method: "GET", path: "/v1/admin/reload", status: 405, ctPrefix: "application/json"},
 		{name: "reload no reloader", method: "POST", path: "/v1/admin/reload", status: 501, ctPrefix: "application/json"},
@@ -48,59 +52,85 @@ func TestEveryResponseCarriesRequestIDAndContentType(t *testing.T) {
 		{name: "candidates not sharded", method: "POST", path: "/v1/knn/candidates", body: "{}", status: 501, ctPrefix: "application/json"},
 		{name: "snapshot wrong method", method: "GET", path: "/v1/admin/snapshot", status: 405, ctPrefix: "application/json"},
 		{name: "snapshot not enabled", method: "POST", path: "/v1/admin/snapshot", body: "x", status: 501, ctPrefix: "application/json"},
-		{name: "trace", method: "GET", path: "/v1/admin/trace", status: 200, ctPrefix: "application/json"},
-		{name: "trace bad n", method: "GET", path: "/v1/admin/trace?n=zero", status: 400, ctPrefix: "application/json"},
-		{name: "unknown path 404", method: "GET", path: "/nope", status: 404, ctPrefix: "text/plain"},
+		{name: "trace", router: true, method: "GET", path: "/v1/admin/trace", status: 200, ctPrefix: "application/json"},
+		{name: "trace bad n", router: true, method: "GET", path: "/v1/admin/trace?n=zero", status: 400, ctPrefix: "application/json"},
+		{name: "unknown path 404", router: true, method: "GET", path: "/nope", status: 404, ctPrefix: "text/plain"},
+	}
+	check := func(t *testing.T, tc headerCase, f *front) {
+		if tc.prep != nil {
+			tc.prep(t, f)
+		}
+		body := tc.body
+		switch body {
+		case "VALID":
+			body = wireBody(t, false, trainCtx("q", 1))
+		case "BATCH2":
+			body = wireBody(t, true, trainCtx("q1", 1), trainCtx("q2", 2))
+		}
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		f.Handler().ServeHTTP(rec, req)
+		if rec.Code != tc.status {
+			t.Fatalf("status = %d, want %d (body %s)", rec.Code, tc.status, rec.Body)
+		}
+		if id := rec.Header().Get("X-Request-ID"); id == "" {
+			t.Error("response missing X-Request-ID")
+		}
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, tc.ctPrefix) {
+			t.Errorf("Content-Type = %q, want prefix %q", ct, tc.ctPrefix)
+		}
+		for h := range tc.wantHeader {
+			if rec.Header().Get(h) == "" {
+				t.Errorf("response missing %s header", h)
+			}
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tinyServer(t, Options{MaxInFlight: 1})
-			if tc.prep != nil {
-				tc.prep(t, s)
-			}
-			body := tc.body
-			switch body {
-			case "VALID":
-				body = wireBody(t, false, trainCtx("q", 1))
-			case "BATCH2":
-				body = wireBody(t, true, trainCtx("q1", 1), trainCtx("q2", 2))
-			}
-			req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(body))
-			rec := httptest.NewRecorder()
-			s.Handler().ServeHTTP(rec, req)
-			if rec.Code != tc.status {
-				t.Fatalf("status = %d, want %d (body %s)", rec.Code, tc.status, rec.Body)
-			}
-			if id := rec.Header().Get("X-Request-ID"); id == "" {
-				t.Error("response missing X-Request-ID")
-			}
-			if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, tc.ctPrefix) {
-				t.Errorf("Content-Type = %q, want prefix %q", ct, tc.ctPrefix)
-			}
-			for h := range tc.wantHeader {
-				if rec.Header().Get(h) == "" {
-					t.Errorf("response missing %s header", h)
-				}
-			}
+			check(t, tc, tinyServer(t, Options{MaxInFlight: 1}).front)
 		})
+		if tc.router {
+			t.Run("router "+tc.name, func(t *testing.T) {
+				check(t, tc, tinyRouter(t, RouterOptions{MaxInFlight: 1}).front)
+			})
+		}
 	}
 }
 
+// tinyRouter builds a router over a one-node ring whose replica is never
+// started: enough for every path that answers before the scatter.
+func tinyRouter(t *testing.T, opts RouterOptions) *Router {
+	t.Helper()
+	r, err := ring.New(&ring.Spec{Shards: 1, Replicas: 1, Nodes: []ring.Node{{Name: "n0", Addr: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Info = ModelInfo{Method: "normalized", Prior: "variance"}
+	return NewRouter(r, opts)
+}
+
 // TestPanic500CarriesHeaders pins the hardest header path: a panicking
-// prediction must still answer 500 with both headers set (a nil
-// classifier makes the predict call itself panic).
+// prediction must still answer 500 with both headers set, on either
+// tier (a nil classifier makes the server's predict call panic, a nil
+// ring the router's scatter).
 func TestPanic500CarriesHeaders(t *testing.T) {
 	s := tinyServer(t, Options{})
 	s.cur.Store(&activeModel{clf: nil, gen: 1})
-	rec := post(t, s.Handler(), "/v1/predict", wireBody(t, false, trainCtx("q", 1)))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500 (body %s)", rec.Code, rec.Body)
-	}
-	if rec.Header().Get("X-Request-ID") == "" {
-		t.Error("panic-500 missing X-Request-ID")
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("panic-500 Content-Type = %q", ct)
+	rt := tinyRouter(t, RouterOptions{})
+	rt.ring = nil
+	for name, h := range map[string]http.Handler{"server": s.Handler(), "router": rt.Handler()} {
+		t.Run(name, func(t *testing.T) {
+			rec := post(t, h, "/v1/predict", wireBody(t, false, trainCtx("q", 1)))
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("status = %d, want 500 (body %s)", rec.Code, rec.Body)
+			}
+			if rec.Header().Get("X-Request-ID") == "" {
+				t.Error("panic-500 missing X-Request-ID")
+			}
+			if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+				t.Errorf("panic-500 Content-Type = %q", ct)
+			}
+		})
 	}
 }
 
@@ -117,7 +147,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	if got := rec.Header().Get("X-Request-ID"); got != "caller-chose-this" {
 		t.Fatalf("response id = %q, want the caller's", got)
 	}
-	recs := s.trace.traces.Snapshot(0)
+	recs := s.traces.Snapshot(0)
 	if len(recs) != 1 || recs[0].ID != "caller-chose-this" {
 		t.Fatalf("ring traces = %+v, want one trace with the caller's id", recs)
 	}
@@ -169,7 +199,7 @@ func TestTraceEndpointShowsStageBreakdown(t *testing.T) {
 	// The trace endpoint itself must not appear in the ring (a prober
 	// would evict the traces an operator came to read).
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/admin/trace", nil))
-	if got := len(s.trace.traces.Snapshot(0)); got != 1 {
+	if got := len(s.traces.Snapshot(0)); got != 1 {
 		t.Errorf("trace reads leaked into the ring: %d traces", got)
 	}
 }
@@ -186,7 +216,7 @@ func TestTraceRingHonorsCapAndShedRung(t *testing.T) {
 			t.Fatalf("want shed 503, got %d", rec.Code)
 		}
 	}
-	recs := s.trace.traces.Snapshot(0)
+	recs := s.traces.Snapshot(0)
 	if len(recs) != 2 {
 		t.Fatalf("ring holds %d traces, want cap 2", len(recs))
 	}
@@ -225,32 +255,6 @@ func TestMetricsEndpointIsStrictPrometheus(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
-		}
-	}
-}
-
-// TestAccessLogWritesJSONL: with Options.AccessLog set, each completed
-// /v1/* request appends one parseable JSON trace record.
-func TestAccessLogWritesJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	s := tinyServer(t, Options{AccessLog: &buf})
-	h := s.Handler()
-	post(t, h, "/v1/predict", wireBody(t, false, trainCtx("q", 1)))
-	post(t, h, "/v1/predict", wireBody(t, false, trainCtx("q", 2)))
-	// Non-/v1 traffic stays out of the access log.
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("access log holds %d lines, want 2:\n%s", len(lines), buf.String())
-	}
-	for i, line := range lines {
-		var rec obs.TraceRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d is not JSON: %v", i, err)
-		}
-		if rec.Op != "POST /v1/predict" || rec.Status != 200 || rec.ID == "" {
-			t.Errorf("line %d = %+v", i, rec)
 		}
 	}
 }

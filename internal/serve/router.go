@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -20,7 +18,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/knn"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/pipeline"
 	"repro/internal/ring"
 	"repro/internal/snapshot"
@@ -51,21 +48,22 @@ import (
 // router's own and pushes the router's snapshot to stale nodes — the
 // self-healing path that re-converges a replica restored from an old
 // disk image.
+//
+// The router is the shared front (front.go) with a scatter → merge →
+// vote backend, a ring-aware readiness check, and the prober and repair
+// loops as its background work.
 type Router struct {
+	*front
 	ring    *ring.Ring
 	checker *ring.Checker
-	opts    RouterOptions
 	httpc   *http.Client
-	lim     *limiter
 	// hedge paces hedged replica requests; nil means hedging is off.
 	hedge *hedgePacer
-	// est tracks the router's end-to-end service time for deadline
-	// admission.
-	est   latEstimator
-	mux   *http.ServeMux
-	trace *tracePipe
 
-	loadedAt time.Time
+	info      ModelInfo
+	cfg       knn.Config
+	modelPath string
+	loadedAt  time.Time
 
 	// healthRound and repairSweep key the ring.health / ring.repair fault
 	// probes: including a monotonic round in the key re-rolls the
@@ -73,9 +71,6 @@ type Router struct {
 	// without permanently wedging one node.
 	healthRound atomic.Uint64
 	repairSweep atomic.Uint64
-
-	readyMu sync.Mutex
-	ready   bool
 }
 
 // Ring-tier telemetry (the counters the chaos suite and the CI ring
@@ -88,20 +83,30 @@ var (
 	mRepairFailed     = obs.C("ring.repair_failed")
 )
 
+// The router's fixed timings.
+const (
+	// probeInterval spaces active health-probe rounds.
+	probeInterval = 500 * time.Millisecond
+	// repairInterval spaces repair sweeps.
+	repairInterval = 5 * time.Second
+	// replicaTimeout bounds one replica call.
+	replicaTimeout = 5 * time.Second
+	// hedgeDelayCeil caps the hedge pacing delay so a shard whose p95 has
+	// drifted high still hedges usefully.
+	hedgeDelayCeil = replicaTimeout / 2
+)
+
 // RouterOptions configures a Router.
 type RouterOptions struct {
-	// MaxInFlight, MaxBatch, MaxBodyBytes, ShutdownGrace, RetryAfter,
-	// AdaptiveInFlight, LatencyTarget, TraceRing and AccessLog mean
-	// exactly what they do in Options.
+	// MaxInFlight, MaxBatch, ShutdownGrace, RetryAfter, AdaptiveInFlight,
+	// LatencyTarget and TraceRing mean exactly what they do in Options.
 	MaxInFlight      int
 	MaxBatch         int
-	MaxBodyBytes     int64
 	ShutdownGrace    time.Duration
 	RetryAfter       time.Duration
 	AdaptiveInFlight bool
 	LatencyTarget    time.Duration
 	TraceRing        int
-	AccessLog        io.Writer
 
 	// HedgeFraction enables hedged replica requests: after a per-shard
 	// pacing delay, a slow shard call gets ONE backup request to the next
@@ -112,9 +117,6 @@ type RouterOptions struct {
 	// hedge may fire (and the pacing delay used until the shard's latency
 	// window warms up). <=0 means 5ms.
 	HedgeDelayFloor time.Duration
-	// HedgeDelayCeil caps the pacing delay so a shard whose p95 has
-	// drifted high still hedges usefully. <=0 means ReplicaTimeout/2.
-	HedgeDelayCeil time.Duration
 
 	// Info describes the model the router merges for (served on
 	// /v1/model with Role "router"). Info.Checksum is the reference the
@@ -130,135 +132,72 @@ type RouterOptions struct {
 	// repair loop pushes to stale replicas. Empty disables repair pushes
 	// (staleness is still detected and counted).
 	ModelPath string
-
-	// ProbeInterval spaces active health-probe rounds. <=0 means 500ms.
-	ProbeInterval time.Duration
-	// RepairInterval spaces repair sweeps. <=0 means 5s.
-	RepairInterval time.Duration
-	// ReplicaTimeout bounds one replica call. <=0 means 5s.
-	ReplicaTimeout time.Duration
-
-	// Transport overrides the outbound HTTP transport (tests).
-	Transport http.RoundTripper
 }
 
-func (o RouterOptions) withDefaults() RouterOptions {
-	o.MaxInFlight = parallel.Workers(o.MaxInFlight)
-	if o.MaxBatch < 1 {
-		o.MaxBatch = 1024
+func (o RouterOptions) front() frontOptions {
+	return frontOptions{
+		MaxInFlight: o.MaxInFlight, AdaptiveInFlight: o.AdaptiveInFlight, LatencyTarget: o.LatencyTarget,
+		MaxBatch: o.MaxBatch, ShutdownGrace: o.ShutdownGrace, RetryAfter: o.RetryAfter, TraceRing: o.TraceRing,
 	}
-	if o.MaxBodyBytes < 1 {
-		o.MaxBodyBytes = 32 << 20
-	}
-	if o.ShutdownGrace <= 0 {
-		o.ShutdownGrace = 10 * time.Second
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 500 * time.Millisecond
-	}
-	if o.RepairInterval <= 0 {
-		o.RepairInterval = 5 * time.Second
-	}
-	if o.ReplicaTimeout <= 0 {
-		o.ReplicaTimeout = 5 * time.Second
-	}
-	if o.LatencyTarget <= 0 {
-		o.LatencyTarget = 50 * time.Millisecond
-	}
-	if o.HedgeDelayFloor <= 0 {
-		o.HedgeDelayFloor = 5 * time.Millisecond
-	}
-	if o.HedgeDelayCeil <= 0 {
-		o.HedgeDelayCeil = o.ReplicaTimeout / 2
-	}
-	return o
 }
 
 // NewRouter builds a router over a resolved ring.
 func NewRouter(r *ring.Ring, opts RouterOptions) *Router {
 	rt := &Router{
-		ring:     r,
-		opts:     opts.withDefaults(),
-		loadedAt: time.Now(),
-		ready:    true,
+		ring:      r,
+		httpc:     &http.Client{},
+		info:      opts.Info,
+		cfg:       opts.Cfg,
+		modelPath: opts.ModelPath,
+		loadedAt:  time.Now(),
 	}
-	rt.httpc = &http.Client{Transport: rt.opts.Transport}
-	rt.lim = newLimiter(rt.opts.MaxInFlight, rt.opts.AdaptiveInFlight, rt.opts.LatencyTarget)
-	if rt.opts.HedgeFraction > 0 {
-		rt.hedge = newHedgePacer(rt.opts.HedgeFraction, rt.opts.HedgeDelayFloor, rt.opts.HedgeDelayCeil)
+	if opts.HedgeFraction > 0 {
+		floor := opts.HedgeDelayFloor
+		if floor <= 0 {
+			floor = 5 * time.Millisecond
+		}
+		rt.hedge = newHedgePacer(opts.HedgeFraction, floor, hedgeDelayCeil)
 	}
 	rt.checker = ring.NewChecker(r, ring.CheckerOptions{
-		Interval:     rt.opts.ProbeInterval,
-		ProbeTimeout: rt.opts.ReplicaTimeout,
+		Interval:     probeInterval,
+		ProbeTimeout: replicaTimeout,
 		Probe:        rt.probeReplica,
 	})
-	rt.trace = newTracePipe(rt.opts.TraceRing, rt.opts.AccessLog)
-	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("/metrics", handleMetrics)
-	rt.mux.HandleFunc("/v1/model", rt.handleModel)
-	rt.mux.HandleFunc("/v1/predict", rt.handlePredict)
-	rt.mux.HandleFunc("/v1/predict/batch", rt.handleBatch)
+	rt.front = newFront(opts.front(), tier{
+		decode: rt.decode,
+		status: rt.status,
+		ready:  rt.shardsReady,
+		loops: []func(context.Context){
+			every(probeInterval, rt.ProbeOnce),
+			every(repairInterval, func(ctx context.Context) { rt.RepairOnce(ctx) }),
+		},
+	})
 	rt.mux.HandleFunc("/v1/ring", rt.handleRing)
-	rt.mux.HandleFunc("/v1/admin/trace", rt.trace.handleTraceLog)
 	return rt
 }
 
 // Checker exposes the router's health view (tests and /v1/ring).
 func (rt *Router) Checker() *ring.Checker { return rt.checker }
 
-// Handler returns the router's HTTP handler behind the shared tracing
-// middleware.
-func (rt *Router) Handler() http.Handler { return rt.trace.wrap(rt.mux) }
-
-// SetReady flips the readiness probe (Run flips it to false on drain).
-func (rt *Router) SetReady(v bool) {
-	rt.readyMu.Lock()
-	rt.ready = v
-	rt.readyMu.Unlock()
-}
-
-func (rt *Router) isReady() bool {
-	rt.readyMu.Lock()
-	defer rt.readyMu.Unlock()
-	return rt.ready
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
-}
-
-// handleReadyz is ring-aware: the router is ready only while every shard
-// retains at least one Healthy replica. A load balancer therefore stops
-// sending a router traffic it could only answer from the prior label.
-func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !rt.isReady() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
+// shardsReady is the router's readiness check: ready only while every
+// shard retains at least one Healthy replica. A load balancer therefore
+// stops sending a router traffic it could only answer from the prior
+// label.
+func (rt *Router) shardsReady() error {
 	if bad := rt.checker.UnhealthyShards(); len(bad) > 0 {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "shards without a healthy replica: %v\n", bad)
-		return
+		return fmt.Errorf("shards without a healthy replica: %v", bad)
 	}
-	io.WriteString(w, "ready\n")
+	return nil
 }
 
-func (rt *Router) handleModel(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, ModelStatus{
-		ModelInfo:  rt.opts.Info,
+func (rt *Router) status() ModelStatus {
+	return ModelStatus{
+		ModelInfo:  rt.info,
 		Generation: 1,
 		LoadedAt:   rt.loadedAt,
 		Build:      buildinfo.Get(),
 		Role:       "router",
-	})
+	}
 }
 
 // ringStatus is the GET /v1/ring response: the resolved topology plus
@@ -281,9 +220,7 @@ type nodeLatency struct {
 }
 
 func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
+	if !allow(w, r, http.MethodGet) {
 		return
 	}
 	st := ringStatus{
@@ -316,88 +253,21 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (rt *Router) retryAfterSeconds() int {
-	if !rt.isReady() {
-		return int(math.Max(1, math.Ceil(rt.opts.ShutdownGrace.Seconds())))
-	}
-	occ, capacity := rt.lim.occupancy()
-	secs := math.Ceil(rt.opts.RetryAfter.Seconds() * float64(occ) / float64(capacity))
-	return int(math.Max(1, secs))
+// decode forwards the wire form untouched: the router never decodes the
+// query contexts, it routes them to the replicas that do.
+func (rt *Router) decode(wire []*snapshot.WireContext) (answer, error) {
+	return func(ctx context.Context, tr *obs.Trace) ([]knn.Prediction, error) {
+		return rt.route(ctx, wire, tr)
+	}, nil
 }
 
-func (rt *Router) acquire(w http.ResponseWriter, tr *obs.Trace) bool {
-	if rt.lim.tryAcquire() {
-		return true
-	}
-	if obs.On() {
-		mRejected.Inc()
-	}
-	tr.Rung("serve.shed")
-	w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "router saturated; retry"})
-	return false
-}
-
-func (rt *Router) release(lat time.Duration) { rt.lim.release(lat) }
-
-func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	rt.routePrediction(w, r, false)
-}
-
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	rt.routePrediction(w, r, true)
-}
-
-// routePrediction is the scatter-gather predict path. The router never
-// decodes the query contexts — it forwards the wire form to replicas
-// verbatim and works with the candidate lists they return.
-func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
-		return
-	}
-	if obs.On() {
-		mRequests.Inc()
-	}
-	tr := obs.TraceFrom(r.Context())
-	if !rt.acquire(w, tr) {
-		return
-	}
-	t0 := time.Now()
-	defer func() { rt.release(time.Since(t0)) }()
-	rctx, dcancel, ok := admitDeadline(w, r, &rt.est, tr)
-	if !ok {
-		return
-	}
-	defer dcancel()
-	sp := stServe.StartCtx(r.Context())
-	defer sp.End()
-	defer func() {
-		if obs.On() {
-			hLatency.ObserveSince(t0)
-		}
-		rt.est.observe(time.Since(t0))
-		if rec := recover(); rec != nil {
-			if obs.On() {
-				mErrors.Inc()
-			}
-			tr.Rung("serve.panic_500")
-			err := pipeline.Recovered("ring.route", rec)
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		}
-	}()
-
-	spDecode := stDecode.StartCtx(r.Context())
-	wire, ok := decodeWireRequest(w, r, batch, rt.opts.MaxBodyBytes, rt.opts.MaxBatch)
-	spDecode.End()
-	if !ok {
-		return
-	}
-
+// route is the scatter-gather predict path: every shard's candidates in
+// parallel, then the merge and the gate + vote + fallback the whole
+// model would apply.
+func (rt *Router) route(ctx context.Context, wire []*snapshot.WireContext, tr *obs.Trace) ([]knn.Prediction, error) {
 	// Scatter: every shard in parallel; within a shard, replicas in the
 	// checker's preference order, then last-ditch ejected ones.
-	base := fmt.Sprintf("%s@%d/%d#%d", wire[0].SessionID, wire[0].T, wire[0].N, len(wire))
+	base := wireKey(wire)
 	shards := rt.ring.Shards()
 	lists := make([][][]knn.Candidate, shards)
 	var failed atomic.Int32
@@ -406,7 +276,7 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			res, err := rt.shardCandidates(rctx, sh, base, wire, tr)
+			res, err := rt.shardCandidates(ctx, sh, base, wire, tr)
 			if err != nil {
 				if obs.On() {
 					mShardUnavailable.Inc()
@@ -424,71 +294,38 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 	// not a shard loss: the shard may be fine — the caller's budget was
 	// not — and answering the prior here would trade a truthful timeout
 	// for a made-up prediction.
-	if failed.Load() > 0 && errors.Is(rctx.Err(), context.DeadlineExceeded) {
-		deadlineExceeded(w, tr)
-		return
+	if failed.Load() > 0 && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return nil, errBudgetExhausted
 	}
 
+	out := make([]knn.Prediction, len(wire))
 	if failed.Load() > 0 {
 		// Last rung: a shard's candidates are gone, so an exact merge is
 		// impossible. Answer the model's prior for every query rather
 		// than failing the request; 503 only when there is no prior.
-		if rt.opts.Info.Prior == "" {
-			if obs.On() {
-				mErrors.Inc()
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "shard unavailable and model has no prior label"})
-			return
+		if rt.info.Prior == "" {
+			return nil, &httpError{code: http.StatusServiceUnavailable, retry: true,
+				err: errors.New("shard unavailable and model has no prior label")}
 		}
 		tr.Rung("ring.prior")
-		out := make([]predictResponse, len(wire))
 		for i := range out {
-			out[i] = predictResponse{Measure: rt.opts.Info.Prior, OK: true, Fallback: true}
-			if obs.On() {
-				mPredictions.Inc()
-				mFallback.Inc()
-			}
+			out[i] = knn.Prediction{Label: rt.info.Prior, Covered: true, Fallback: true}
 		}
-		rt.writePredictions(w, r.Context(), out, batch)
-		return
+		return out, nil
 	}
 
 	// Gather: merge the per-shard top-k per query and reproduce the
 	// gate + vote + fallback exactly as the whole model would.
-	out := make([]predictResponse, len(wire))
 	perShard := make([][]knn.Candidate, shards)
 	for qi := range wire {
 		for sh := 0; sh < shards; sh++ {
 			perShard[sh] = lists[sh][qi]
 		}
-		merged := knn.MergeCandidates(rt.opts.Cfg.K, perShard...)
-		p := knn.PredictFromCandidates(merged, rt.opts.Cfg, rt.opts.Info.Prior)
-		out[qi] = predictResponse{Measure: p.Label, OK: p.Covered, Fallback: p.Fallback}
+		merged := knn.MergeCandidates(rt.cfg.K, perShard...)
+		out[qi] = knn.PredictFromCandidates(merged, rt.cfg, rt.info.Prior)
 		tr.AddCandidates(len(merged))
-		if obs.On() {
-			mPredictions.Inc()
-			switch {
-			case p.Fallback:
-				mFallback.Inc()
-			case !p.Covered:
-				mAbstain.Inc()
-			}
-		}
 	}
-	rt.writePredictions(w, r.Context(), out, batch)
-}
-
-func (rt *Router) writePredictions(w http.ResponseWriter, ctx context.Context, out []predictResponse, batch bool) {
-	spEncode := stEncode.StartCtx(ctx)
-	defer spEncode.End()
-	if batch {
-		writeJSON(w, http.StatusOK, struct {
-			Predictions []predictResponse `json:"predictions"`
-		}{out})
-		return
-	}
-	writeJSON(w, http.StatusOK, out[0])
+	return out, nil
 }
 
 // shardOutcome is one replica attempt's result, as seen by the shard
@@ -642,7 +479,7 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, base string, w
 				}
 			}
 			hop := fmt.Sprintf("shard%d→%s ok", shard, o.n.Name)
-			if o.res.Checksum != "" && rt.opts.Info.Checksum != "" && o.res.Checksum != rt.opts.Info.Checksum {
+			if o.res.Checksum != "" && rt.info.Checksum != "" && o.res.Checksum != rt.info.Checksum {
 				// The answer still merges — same topology, possibly older
 				// labels — but the staleness is surfaced and the repair loop
 				// will converge the node.
@@ -685,33 +522,9 @@ func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, ba
 	if err != nil {
 		return nil, err
 	}
-	cctx, cancel := context.WithTimeout(ctx, rt.opts.ReplicaTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, n.Addr+"/v1/knn/candidates", bytes.NewReader(body))
+	raw, err := rt.callReplica(ctx, n, "/v1/knn/candidates", body, "application/json", tr)
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// Forward the remaining budget (the tighter of the caller's deadline
-	// and ReplicaTimeout is cctx's deadline) so the replica can fast-fail
-	// work it cannot finish in time.
-	stampDeadline(req, cctx)
-	if id := tr.ID(); id != "" {
-		// Propagate the request's correlation ID across the hop so the
-		// replica's trace log and access log stitch to the router's.
-		req.Header.Set("X-Request-ID", id)
-	}
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s: %s", n.Name, resp.Status, firstLine(raw))
 	}
 	var cr candidatesResponse
 	if err := json.Unmarshal(raw, &cr); err != nil {
@@ -721,6 +534,47 @@ func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, ba
 		return nil, fmt.Errorf("%s: %d results for %d queries", n.Name, len(cr.Results), len(wire))
 	}
 	return &cr, nil
+}
+
+// callReplica sends one request to replica n — a POST of body as
+// contentType, or a GET when body is nil — bounded by replicaTimeout,
+// and returns the answer's body. Any status but 200 is an error.
+func (rt *Router) callReplica(ctx context.Context, n ring.Node, path string, body []byte, contentType string, tr *obs.Trace) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
+	defer cancel()
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		method, rd = http.MethodPost, bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, n.Addr+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+	}
+	// Forward the remaining budget (the tighter of the caller's deadline
+	// and replicaTimeout) so the replica can fast-fail work it cannot
+	// finish in time.
+	stampDeadline(req, ctx)
+	if id := tr.ID(); id != "" {
+		// Propagate the request's correlation ID across the hop so the
+		// replica's trace log stitches to the router's.
+		req.Header.Set("X-Request-ID", id)
+	}
+	resp, err := rt.httpc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s %s: %s: %s", n.Name, path, resp.Status, firstLine(raw))
+	}
+	return raw, nil
 }
 
 // firstLine trims a response body to its first line for error messages.
@@ -745,35 +599,12 @@ func (rt *Router) probeReplica(ctx context.Context, n ring.Node) error {
 			return err
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.Addr+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: readyz %s", n.Name, resp.Status)
-	}
-	return nil
-}
-
-// injectSiteGuarded runs one fault probe, converting an injected panic
-// into an error (probes on background loops must never crash the tier).
-func injectSiteGuarded(site, key string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = pipeline.Recovered(site, r)
-		}
-	}()
-	return faults.Inject(site, key, faults.KindAll)
+	_, err := rt.callReplica(ctx, n, "/readyz", nil, "", nil)
+	return err
 }
 
 // ProbeOnce drives one active health-probe round (tests and the startup
-// path use it; Run's ticker calls it in production).
+// path use it; RunListener's prober loop calls it in production).
 func (rt *Router) ProbeOnce(ctx context.Context) {
 	rt.healthRound.Add(1)
 	rt.checker.ProbeOnce(ctx)
@@ -786,7 +617,7 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 // nodes are skipped — convergence is the health prober's signal to wait
 // for, not the repair loop's to force.
 func (rt *Router) RepairOnce(ctx context.Context) int {
-	if rt.opts.Info.Checksum == "" {
+	if rt.info.Checksum == "" {
 		return 0
 	}
 	sweep := rt.repairSweep.Add(1)
@@ -796,13 +627,13 @@ func (rt *Router) RepairOnce(ctx context.Context) int {
 			return repaired
 		}
 		st, err := rt.fetchModel(ctx, n)
-		if err != nil || st.Checksum == "" || st.Checksum == rt.opts.Info.Checksum {
+		if err != nil || st.Checksum == "" || st.Checksum == rt.info.Checksum {
 			continue
 		}
 		if obs.On() {
 			mStaleReplica.Inc()
 		}
-		if rt.opts.ModelPath == "" {
+		if rt.modelPath == "" {
 			continue
 		}
 		if err := rt.pushSnapshot(ctx, n, sweep); err != nil {
@@ -821,29 +652,12 @@ func (rt *Router) RepairOnce(ctx context.Context) int {
 
 // fetchModel reads a replica's /v1/model status.
 func (rt *Router) fetchModel(ctx context.Context, n ring.Node) (ModelStatus, error) {
-	cctx, cancel := context.WithTimeout(ctx, rt.opts.ReplicaTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, n.Addr+"/v1/model", nil)
-	if err != nil {
-		return ModelStatus{}, err
-	}
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		return ModelStatus{}, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return ModelStatus{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return ModelStatus{}, fmt.Errorf("%s: model %s", n.Name, resp.Status)
-	}
 	var st ModelStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return ModelStatus{}, err
+	raw, err := rt.callReplica(ctx, n, "/v1/model", nil, "", nil)
+	if err == nil {
+		err = json.Unmarshal(raw, &st)
 	}
-	return st, nil
+	return st, err
 }
 
 // pushSnapshot sends the router's snapshot file to one stale replica,
@@ -857,97 +671,10 @@ func (rt *Router) pushSnapshot(ctx context.Context, n ring.Node, sweep uint64) e
 			return err
 		}
 	}
-	blob, err := os.ReadFile(rt.opts.ModelPath)
+	blob, err := os.ReadFile(rt.modelPath)
 	if err != nil {
 		return err
 	}
-	cctx, cancel := context.WithTimeout(ctx, rt.opts.ReplicaTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, n.Addr+"/v1/admin/snapshot", bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: snapshot push %s: %s", n.Name, resp.Status, firstLine(raw))
-	}
-	return nil
-}
-
-// Run listens on addr and serves until ctx is canceled, running the
-// health prober and repair loop alongside; then it drains like Server.
-func (rt *Router) Run(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: listen %s: %w", addr, err)
-	}
-	return rt.RunListener(ctx, ln)
-}
-
-// RunListener is Run over an existing listener (tests use :0).
-func (rt *Router) RunListener(ctx context.Context, ln net.Listener) error {
-	bgCtx, bgCancel := context.WithCancel(ctx)
-	defer bgCancel()
-	go rt.runProber(bgCtx)
-	go rt.runRepair(bgCtx)
-	// Same stalled-client armor as the replica server: a connection that
-	// trickles its body or never reads its response must not pin a socket
-	// (and an admitted in-flight slot) forever.
-	srv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	rt.SetReady(false)
-	bgCancel()
-	shCtx, cancel := context.WithTimeout(context.Background(), rt.opts.ShutdownGrace)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		return fmt.Errorf("serve: shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
-}
-
-func (rt *Router) runProber(ctx context.Context) {
-	ticker := time.NewTicker(rt.opts.ProbeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			rt.ProbeOnce(ctx)
-		}
-	}
-}
-
-func (rt *Router) runRepair(ctx context.Context) {
-	ticker := time.NewTicker(rt.opts.RepairInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			rt.RepairOnce(ctx)
-		}
-	}
+	_, err = rt.callReplica(ctx, n, "/v1/admin/snapshot", blob, "application/octet-stream", nil)
+	return err
 }

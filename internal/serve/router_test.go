@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/distance"
 	"repro/internal/knn"
@@ -231,7 +233,7 @@ func TestRouterFailoverKeepsAnswersIdentical(t *testing.T) {
 		t.Errorf("dead node state = %v, want ejected after repeated routing failures", st)
 	}
 	// The failover hops must be visible in the router's trace log.
-	recs := tr.rt.trace.traces.Snapshot(0)
+	recs := tr.rt.traces.Snapshot(0)
 	failHops := 0
 	for _, r := range recs {
 		for _, h := range r.Hops {
@@ -440,7 +442,7 @@ func TestRequestIDPropagatesAcrossHops(t *testing.T) {
 	// under the router's correlation ID.
 	sawHop := false
 	for _, rep := range tr.replicas {
-		for _, trc := range rep.trace.traces.Snapshot(0) {
+		for _, trc := range rep.traces.Snapshot(0) {
 			if trc.Op == "POST /v1/knn/candidates" {
 				sawHop = true
 				if trc.ID != "hop-trace-1" {
@@ -454,7 +456,7 @@ func TestRequestIDPropagatesAcrossHops(t *testing.T) {
 	}
 	// And the router's own trace must list the hop path.
 	var hops []string
-	for _, trc := range tr.rt.trace.traces.Snapshot(0) {
+	for _, trc := range tr.rt.traces.Snapshot(0) {
 		if trc.ID == "hop-trace-1" {
 			hops = trc.Hops
 		}
@@ -530,5 +532,50 @@ func TestCandidatesEndpointContract(t *testing.T) {
 	rec = post(t, lone.Handler(), "/v1/knn/candidates", body(0))
 	if rec.Code != http.StatusNotImplemented {
 		t.Fatalf("standalone candidates: %d, want 501", rec.Code)
+	}
+}
+
+// TestRouterRunListenerRunsLoopsAndDrains: the router's prober runs in
+// the background while it serves, and a cancelled RunListener stops it,
+// drains and returns nil.
+func TestRouterRunListenerRunsLoopsAndDrains(t *testing.T) {
+	samples := ringTrainingSet(20)
+	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 1, ThetaDelta: 0.3, Workers: 1})
+	tr := startRing(t, 2, 1, 2, whole, ModelInfo{Prior: whole.Prior()}, RouterOptions{ShutdownGrace: 2 * time.Second})
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- tr.rt.RunListener(ctx, ln) }()
+
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/predict", "application/json",
+		strings.NewReader(wireBody(t, false, chainCtx("q", 1, 2))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("live routed predict: %d", resp.StatusCode)
+	}
+	for deadline := time.Now().Add(3 * probeInterval); tr.rt.healthRound.Load() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the prober loop never ran")
+		}
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("router drain returned %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunListener did not return after cancel")
+	}
+	if tr.rt.isReady() {
+		t.Error("router still ready after the drain")
 	}
 }

@@ -7,6 +7,10 @@
 // sites for chaos coverage, graceful drain on context cancellation, and
 // hot model reload without dropping in-flight requests.
 //
+// The standalone Server and the ring Router (router.go) are one serving
+// front (front.go) with different backends: admission, limits, readiness,
+// tracing, the common routes and the graceful drain exist once.
+//
 // Degradation under load is deliberate and layered (DESIGN.md §8): when
 // more requests are in flight than the configured bound, new prediction
 // requests are rejected immediately with 503 + Retry-After instead of
@@ -26,14 +30,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -45,7 +44,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/knn"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/pipeline"
 	"repro/internal/ring"
 	"repro/internal/session"
@@ -145,8 +143,6 @@ type Options struct {
 	// MaxBatch caps the contexts accepted by one batch request
 	// (413 beyond it). <1 means 1024.
 	MaxBatch int
-	// MaxBodyBytes caps a request body. <1 means 32 MiB.
-	MaxBodyBytes int64
 	// ShutdownGrace bounds the graceful drain on Run cancellation. <=0
 	// means 10s.
 	ShutdownGrace time.Duration
@@ -160,10 +156,6 @@ type Options struct {
 	// TraceRing caps the completed-request traces kept for
 	// GET /v1/admin/trace. <1 means 128.
 	TraceRing int
-	// AccessLog, when set, receives one JSON line (a TraceRecord) per
-	// completed /v1/* request. Writes are serialized by the server; wrap
-	// with atomicio.NewLineWriter for crash-consistent files.
-	AccessLog io.Writer
 	// Ring, with NodeName, makes this server a ring replica: it builds
 	// per-shard classifiers for the shards the ring places on NodeName
 	// and serves their candidate sets on POST /v1/knn/candidates.
@@ -176,24 +168,11 @@ type Options struct {
 	ModelPath string
 }
 
-func (o Options) withDefaults() Options {
-	o.MaxInFlight = parallel.Workers(o.MaxInFlight)
-	if o.MaxBatch < 1 {
-		o.MaxBatch = 1024
+func (o Options) front() frontOptions {
+	return frontOptions{
+		MaxInFlight: o.MaxInFlight, AdaptiveInFlight: o.AdaptiveInFlight, LatencyTarget: o.LatencyTarget,
+		MaxBatch: o.MaxBatch, ShutdownGrace: o.ShutdownGrace, RetryAfter: o.RetryAfter, TraceRing: o.TraceRing,
 	}
-	if o.MaxBodyBytes < 1 {
-		o.MaxBodyBytes = 32 << 20
-	}
-	if o.ShutdownGrace <= 0 {
-		o.ShutdownGrace = 10 * time.Second
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
-	if o.LatencyTarget <= 0 {
-		o.LatencyTarget = 50 * time.Millisecond
-	}
-	return o
 }
 
 // activeModel is the immutable unit of hot reload: classifier, its
@@ -223,55 +202,40 @@ func (a *activeModel) status() ModelStatus {
 	return st
 }
 
-// Server serves predictions from a trained classifier.
+// Server serves predictions from a trained classifier: the shared
+// front (front.go) with a decode → PredictAllCtx backend, plus hot
+// reload and, as a ring replica, candidates and snapshot push.
 type Server struct {
-	cur  atomic.Pointer[activeModel]
-	opts Options
-	lim  *limiter
-	// est tracks this server's typical service time — the admission
-	// estimate a stamped X-Deadline-Ms budget is checked against.
-	est latEstimator
-	mux *http.ServeMux
+	*front
+	cur atomic.Pointer[activeModel]
 
-	// trace is the shared tracing/access-log middleware (see
-	// middleware.go); it also backs GET /v1/admin/trace.
-	trace *tracePipe
+	reloader  Reloader
+	ring      *ring.Ring
+	node      string
+	modelPath string
 
 	// reloadMu serializes Reload calls; the swap itself is the atomic
 	// pointer store, so the request path never takes this lock.
 	reloadMu sync.Mutex
-
-	readyMu sync.Mutex
-	ready   bool
 }
 
 // New builds a server. The classifier must be fully constructed; the
 // server never mutates it.
 func New(clf *knn.Classifier, info ModelInfo, opts Options) *Server {
-	s := &Server{opts: opts.withDefaults()}
-	if s.opts.NodeName != "" {
+	s := &Server{reloader: opts.Reloader, ring: opts.Ring, node: opts.NodeName, modelPath: opts.ModelPath}
+	if s.node != "" {
 		// Pre-register this node's gray-failure chaos site so its
 		// injection counter exports a stable series from startup.
-		faults.RegisterSite(faults.SiteServeSlow + "." + s.opts.NodeName)
+		faults.RegisterSite(faults.SiteServeSlow + "." + s.node)
 	}
 	s.cur.Store(s.buildActive(clf, info, 1))
 	if obs.On() {
 		gGeneration.Set(1)
 	}
-	s.lim = newLimiter(s.opts.MaxInFlight, s.opts.AdaptiveInFlight, s.opts.LatencyTarget)
-	s.ready = true
-	s.trace = newTracePipe(s.opts.TraceRing, s.opts.AccessLog)
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", handleMetrics)
-	s.mux.HandleFunc("/v1/model", s.handleModel)
-	s.mux.HandleFunc("/v1/predict", s.handlePredict)
-	s.mux.HandleFunc("/v1/predict/batch", s.handleBatch)
+	s.front = newFront(opts.front(), tier{decode: s.decode, status: s.Status})
 	s.mux.HandleFunc("/v1/knn/candidates", s.handleCandidates)
 	s.mux.HandleFunc("/v1/admin/reload", s.handleReload)
 	s.mux.HandleFunc("/v1/admin/snapshot", s.handleSnapshotPush)
-	s.mux.HandleFunc("/v1/admin/trace", s.trace.handleTraceLog)
 	return s
 }
 
@@ -279,38 +243,15 @@ func New(clf *knn.Classifier, info ModelInfo, opts Options) *Server {
 // per-shard classifiers when this server is a ring replica.
 func (s *Server) buildActive(clf *knn.Classifier, info ModelInfo, gen uint64) *activeModel {
 	am := &activeModel{clf: clf, info: info, gen: gen, loadedAt: time.Now()}
-	if s.opts.Ring != nil && s.opts.NodeName != "" {
+	if s.ring != nil && s.node != "" {
 		am.role = "replica"
-		am.shards = buildShards(clf, s.opts.Ring, s.opts.NodeName)
+		am.shards = buildShards(clf, s.ring, s.node)
 	}
 	return am
 }
 
-// Handler returns the server's HTTP handler (also usable under httptest
-// or an existing mux). Every response — including 404s from unknown
-// paths — passes through the tracing middleware (see middleware.go), so
-// every response carries an X-Request-ID header.
-func (s *Server) Handler() http.Handler { return s.trace.wrap(s.mux) }
-
-// MaxInFlight reports the resolved in-flight bound.
-func (s *Server) MaxInFlight() int { return s.opts.MaxInFlight }
-
 // Status reports the live model's description and generation.
 func (s *Server) Status() ModelStatus { return s.cur.Load().status() }
-
-// SetReady flips the readiness probe (Run flips it to false when
-// draining).
-func (s *Server) SetReady(v bool) {
-	s.readyMu.Lock()
-	s.ready = v
-	s.readyMu.Unlock()
-}
-
-func (s *Server) isReady() bool {
-	s.readyMu.Lock()
-	defer s.readyMu.Unlock()
-	return s.ready
-}
 
 // Reload swaps in a fresh model from the configured Reloader:
 // load, validate (checksum verification happens inside the reloader's
@@ -325,7 +266,7 @@ func (s *Server) Reload() (ModelStatus, error) {
 	if !s.isReady() {
 		return ModelStatus{}, ErrDraining
 	}
-	if s.opts.Reloader == nil {
+	if s.reloader == nil {
 		return ModelStatus{}, ErrNoReloader
 	}
 	prev := s.cur.Load()
@@ -361,7 +302,7 @@ func (s *Server) loadGuarded(gen uint64) (clf *knn.Classifier, info ModelInfo, e
 	if err := faults.Inject(faults.SiteServeReload, "gen:"+strconv.FormatUint(gen, 10), faults.KindAll); err != nil {
 		return nil, ModelInfo{}, err
 	}
-	return s.opts.Reloader()
+	return s.reloader()
 }
 
 // selfTest validates a candidate model before it may serve traffic: it
@@ -387,358 +328,72 @@ func selfTest(clf *knn.Classifier) (err error) {
 	return nil
 }
 
-// Run listens on addr and serves until ctx is canceled, then drains
-// gracefully: readiness flips to 503, the listener closes, and in-flight
-// requests get ShutdownGrace to complete. A clean drain returns nil — the
-// path a SIGINT through signal.NotifyContext takes.
-func (s *Server) Run(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: listen %s: %w", addr, err)
-	}
-	return s.RunListener(ctx, ln)
-}
-
-// RunListener is Run over an existing listener (tests use :0).
-func (s *Server) RunListener(ctx context.Context, ln net.Listener) error {
-	// The read/write/idle timeouts bound what a single stalled client can
-	// hold: without them, a connection that trickles its body (or never
-	// reads the response) pins a kernel socket — and, once admitted, an
-	// in-flight slot — forever.
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	s.SetReady(false)
-	shCtx, cancel := context.WithTimeout(context.Background(), s.opts.ShutdownGrace)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		return fmt.Errorf("serve: shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
-}
-
-// predictResponse is one prediction result on the wire. OK=false is an
-// abstention (measure empty); Fallback marks a prediction produced by the
-// configured degradation policy rather than the θ_δ-gated vote.
-type predictResponse struct {
-	Measure  string `json:"measure,omitempty"`
-	OK       bool   `json:"ok"`
-	Fallback bool   `json:"fallback,omitempty"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !s.isReady() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
+// handleReload is the POST /v1/admin/reload endpoint.
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	if !allow(w, r, http.MethodPost) {
 		return
 	}
-	io.WriteString(w, "ready\n")
+	code, body := s.reload()
+	writeJSON(w, code, body)
 }
 
-func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.cur.Load().status())
-}
-
-// handleMetrics exposes every obs counter, gauge, and latency histogram
-// in Prometheus text format, led by an idarepro_build_info series naming
-// the binary. Scrapes work even with telemetry off (counters then read
-// zero) so a scrape config never 404s depending on server flags. Shared
-// verbatim by the standalone Server and the ring Router (obs state is
-// process-wide).
-func handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
-		return
-	}
-	var b bytes.Buffer
-	writeBuildInfoMetric(&b)
-	if err := obs.WritePrometheus(&b, obs.Default.Snapshot()); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b.Bytes())
-}
-
-// writeBuildInfoMetric emits the constant idarepro_build_info gauge: the
-// conventional value-1 series whose labels carry build identity, so a
-// dashboard can join any latency series to the build that produced it.
-func writeBuildInfoMetric(b *bytes.Buffer) {
-	info := buildinfo.Get()
-	fmt.Fprintf(b, "# HELP idarepro_build_info Build metadata of the running binary; the value is always 1.\n")
-	fmt.Fprintf(b, "# TYPE idarepro_build_info gauge\n")
-	fmt.Fprintf(b, "idarepro_build_info{version=%q,go_version=%q,revision=%q,dirty=%q} 1\n",
-		info.Version, info.GoVersion, info.Revision, strconv.FormatBool(info.Dirty))
-}
-
-// handleReload is the POST /v1/admin/reload endpoint: 200 with the new
+// reload runs Reload and names its HTTP answer: 200 with the new
 // ModelStatus on success, 409 while draining, 501 without a reloader,
 // 500 on a failed load (old model still serving).
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
-		return
-	}
+func (s *Server) reload() (int, any) {
 	st, err := s.Reload()
 	switch {
 	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		return http.StatusConflict, errorResponse{Error: err.Error()}
 	case errors.Is(err, ErrNoReloader):
-		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: err.Error()})
+		return http.StatusNotImplemented, errorResponse{Error: err.Error()}
 	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusOK, st)
+		return http.StatusInternalServerError, errorResponse{Error: err.Error()}
 	}
+	return http.StatusOK, st
 }
 
-// retryAfterSeconds computes the Retry-After hint for a shed request.
-// While draining it is the full shutdown grace — the instance is going
-// away and a retry should land elsewhere after the drain. Under
-// saturation it scales Options.RetryAfter by the in-flight occupancy
-// (rounded up, never below 1s): a server shedding at 100% occupancy
-// advertises the full interval, one that merely blipped advertises less.
-func (s *Server) retryAfterSeconds() int {
-	if !s.isReady() {
-		return int(math.Max(1, math.Ceil(s.opts.ShutdownGrace.Seconds())))
-	}
-	occ, capacity := s.lim.occupancy()
-	secs := math.Ceil(s.opts.RetryAfter.Seconds() * float64(occ) / float64(capacity))
-	return int(math.Max(1, secs))
-}
-
-// acquire claims an in-flight slot without queueing; a saturated server
-// sheds the request immediately so the client (or load balancer) can
-// retry elsewhere instead of piling latency onto a full queue.
-func (s *Server) acquire(w http.ResponseWriter, tr *obs.Trace) bool {
-	if s.lim.tryAcquire() {
-		return true
-	}
-	if obs.On() {
-		mRejected.Inc()
-	}
-	tr.Rung("serve.shed")
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server saturated; retry"})
-	return false
-}
-
-// release returns the slot, reporting the request's latency to the
-// adaptive limiter.
-func (s *Server) release(lat time.Duration) { s.lim.release(lat) }
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.servePrediction(w, r, false)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.servePrediction(w, r, true)
-}
-
-// servePrediction is the shared single/batch prediction path: bound the
-// body, decode wire contexts, run the classifier under the in-flight
-// bound, and translate abstentions/fallbacks to the wire form. The
-// classifier pointer is read once per request, so a concurrent reload
-// never changes the model mid-request. A panic below (a poisoned
-// context, an injected fault) is recovered into a 500 for this request
-// only; the server stays up.
-func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
-		return
-	}
-	if obs.On() {
-		mRequests.Inc()
-	}
-	tr := obs.TraceFrom(r.Context())
-	if !s.acquire(w, tr) {
-		return
-	}
-	t0 := time.Now()
-	defer func() { s.release(time.Since(t0)) }()
-	// Budget admission after the in-flight slot: the estimate must cover
-	// what happens from here on, and a shed (503) beats a budget reject
-	// (504) when both apply — the client's retry policy treats them the
-	// same, and the shed carries the Retry-After hint.
-	rctx, dcancel, ok := admitDeadline(w, r, &s.est, tr)
-	if !ok {
-		return
-	}
-	defer dcancel()
-	sp := stServe.StartCtx(r.Context())
-	defer sp.End()
-	defer func() {
-		if obs.On() {
-			hLatency.ObserveSince(t0)
-		}
-		s.est.observe(time.Since(t0))
-		if rec := recover(); rec != nil {
-			if obs.On() {
-				mErrors.Inc()
-			}
-			tr.Rung("serve.panic_500")
-			err := pipeline.Recovered("serve.predict", rec)
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		}
-	}()
-
-	spDecode := stDecode.StartCtx(r.Context())
-	wire, ok := s.decodeRequest(w, r, batch)
-	if !ok {
-		spDecode.End()
-		return
-	}
+// decode is the standalone/replica backend: decode the wire contexts
+// (a malformed one is the caller's 400), then answer them with the live
+// classifier's PredictAllCtx. The classifier pointer is read once per
+// request, so a concurrent reload never changes the model mid-request.
+func (s *Server) decode(wire []*snapshot.WireContext) (answer, error) {
 	ctxs, err := decodeAll(wire)
-	spDecode.End()
 	if err != nil {
-		s.clientError(w, http.StatusBadRequest, err)
-		return
+		return nil, withStatus(http.StatusBadRequest, err)
 	}
-
-	// Chaos probe: one deterministic, content-keyed fault site per
-	// request, so the chaos suite exercises the server's degradation
-	// (503, never a crash or a wrong answer). Keyed by the first
-	// context's identity plus the batch size — call order and goroutine
-	// identity never factor in.
-	if faults.Enabled() {
-		key := fmt.Sprintf("%s@%d/%d#%d", wire[0].SessionID, wire[0].T, wire[0].N, len(wire))
-		if err := injectGuarded(key); err != nil {
-			if obs.On() {
-				mErrors.Inc()
-			}
-			tr.FaultSite(faults.SiteServePredict)
-			tr.Rung("serve.degraded_503")
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "degraded: " + err.Error()})
-			return
-		}
-	}
-
-	preds, err := s.cur.Load().clf.PredictAllCtx(rctx, ctxs)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) && rctx.Err() != nil {
-			deadlineExceeded(w, tr)
-			return
-		}
-		if obs.On() {
-			mErrors.Inc()
-		}
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
-	out := make([]predictResponse, len(preds))
-	for i, p := range preds {
-		out[i] = predictResponse{Measure: p.Label, OK: p.Covered, Fallback: p.Fallback}
-		if obs.On() {
-			mPredictions.Inc()
-			switch {
-			case p.Fallback:
-				mFallback.Inc()
-			case !p.Covered:
-				mAbstain.Inc()
+	return func(ctx context.Context, tr *obs.Trace) ([]knn.Prediction, error) {
+		// Chaos probe: one deterministic, content-keyed fault site per
+		// request, so the chaos suite exercises the server's degradation
+		// (503, never a crash or a wrong answer).
+		if faults.Enabled() {
+			if err := injectSiteGuarded(faults.SiteServePredict, wireKey(wire)); err != nil {
+				tr.FaultSite(faults.SiteServePredict)
+				tr.Rung("serve.degraded_503")
+				return nil, &httpError{code: http.StatusServiceUnavailable, retry: true, err: fmt.Errorf("degraded: %w", err)}
 			}
 		}
-	}
-	spEncode := stEncode.StartCtx(r.Context())
-	defer spEncode.End()
-	if batch {
-		writeJSON(w, http.StatusOK, struct {
-			Predictions []predictResponse `json:"predictions"`
-		}{out})
-		return
-	}
-	writeJSON(w, http.StatusOK, out[0])
+		preds, err := s.cur.Load().clf.PredictAllCtx(ctx, ctxs)
+		if err != nil {
+			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() != nil {
+				return nil, errBudgetExhausted
+			}
+			return nil, withStatus(http.StatusServiceUnavailable, err)
+		}
+		return preds, nil
+	}, nil
 }
 
-// decodeRequest bounds and parses the request body into wire contexts.
-// On failure it has already written the error response.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, batch bool) ([]*snapshot.WireContext, bool) {
-	return decodeWireRequest(w, r, batch, s.opts.MaxBodyBytes, s.opts.MaxBatch)
-}
-
-// decodeWireRequest is the single/batch request decode shared by the
-// standalone Server and the ring Router (which forwards the wire contexts
-// to replicas verbatim instead of decoding them further).
-func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBody int64, maxBatch int) ([]*snapshot.WireContext, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		httpClientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
-		return nil, false
-	}
-	var wire []*snapshot.WireContext
-	if batch {
-		var req struct {
-			Contexts []*snapshot.WireContext `json:"contexts"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return nil, false
-		}
-		wire = req.Contexts
-	} else {
-		var req struct {
-			Context *snapshot.WireContext `json:"context"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return nil, false
-		}
-		if req.Context == nil {
-			httpClientError(w, http.StatusBadRequest, errors.New(`missing "context"`))
-			return nil, false
-		}
-		wire = []*snapshot.WireContext{req.Context}
-	}
-	if len(wire) == 0 {
-		httpClientError(w, http.StatusBadRequest, errors.New("no contexts in request"))
-		return nil, false
-	}
-	if len(wire) > maxBatch {
-		httpClientError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d exceeds the %d-context cap", len(wire), maxBatch))
-		return nil, false
-	}
-	return wire, true
-}
-
-// injectGuarded runs the serve.predict probe, converting an injected
-// panic into an error (the handler's recover would answer 500; the
-// probe's contract is the gentler 503 degradation).
-func injectGuarded(key string) (err error) {
+// injectSiteGuarded runs one fault probe, converting an injected panic
+// into an error: the probe's contract is a degraded answer (or, on
+// background loops, a skipped round), never a crash.
+func injectSiteGuarded(site, key string) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = pipeline.Recovered(faults.SiteServePredict, r)
+			err = pipeline.Recovered(site, r)
 		}
 	}()
-	return faults.Inject(faults.SiteServePredict, key, faults.KindAll)
+	return faults.Inject(site, key, faults.KindAll)
 }
 
 func decodeAll(wire []*snapshot.WireContext) ([]*session.Context, error) {
@@ -751,14 +406,4 @@ func decodeAll(wire []*snapshot.WireContext) ([]*session.Context, error) {
 		out[i] = c
 	}
 	return out, nil
-}
-
-func (s *Server) clientError(w http.ResponseWriter, code int, err error) {
-	httpClientError(w, code, err)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -2,12 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/atomicio"
 	"repro/internal/faults"
@@ -31,7 +30,7 @@ var (
 )
 
 // maxSnapshotPush bounds an accepted snapshot body independently of
-// Options.MaxBodyBytes (models are much larger than predict requests).
+// maxBodyBytes (models are much larger than predict requests).
 const maxSnapshotPush = 1 << 30
 
 // shardModel is one shard's slice of the training set: a classifier over
@@ -98,14 +97,13 @@ type candidatesResponse struct {
 }
 
 // handleCandidates is POST /v1/knn/candidates: the replica-side scan of
-// the sharded predict path. It answers 501 on a standalone server, 404
-// for a shard the ring does not place here (the router treats that as a
-// routing failure and moves to the next replica), and otherwise the
-// shard's ungated top-k per query with globally numbered indexes.
+// the sharded predict path, behind the same admission path as a
+// prediction. It answers 501 on a standalone server, 404 for a shard the
+// ring does not place here (the router treats that as a routing failure
+// and moves to the next replica), and otherwise the shard's ungated
+// top-k per query with globally numbered indexes.
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	if !allow(w, r, http.MethodPost) {
 		return
 	}
 	am := s.cur.Load()
@@ -114,45 +112,30 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if obs.On() {
-		mRequests.Inc()
 		mCandidates.Inc()
 	}
-	tr := obs.TraceFrom(r.Context())
-	if !s.acquire(w, tr) {
-		return
-	}
-	t0 := time.Now()
-	defer func() { s.release(time.Since(t0)) }()
-	defer func() { s.est.observe(time.Since(t0)) }()
-	rctx, dcancel, ok := admitDeadline(w, r, &s.est, tr)
-	if !ok {
-		return
-	}
-	defer dcancel()
+	s.admit(w, r, func(ctx context.Context, _ *obs.Trace) error {
+		return s.candidates(ctx, w, r, am)
+	})
+}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+// candidates answers one admitted candidates request from am, the model
+// generation that was live when the request arrived.
+func (s *Server) candidates(ctx context.Context, w http.ResponseWriter, r *http.Request, am *activeModel) error {
+	body, err := readBody(w, r, maxBodyBytes)
 	if err != nil {
-		s.clientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
-		return
+		return err
 	}
 	var req candidatesRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.clientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+		return withStatus(http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 	}
 	sm, ok := am.shards[req.Shard]
 	if !ok {
-		s.clientError(w, http.StatusNotFound, fmt.Errorf("shard %d is not served by this replica", req.Shard))
-		return
+		return withStatus(http.StatusNotFound, fmt.Errorf("shard %d is not served by this replica", req.Shard))
 	}
-	if len(req.Contexts) == 0 {
-		s.clientError(w, http.StatusBadRequest, errors.New("no contexts in request"))
-		return
-	}
-	if len(req.Contexts) > s.opts.MaxBatch {
-		s.clientError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d exceeds the %d-context cap", len(req.Contexts), s.opts.MaxBatch))
-		return
+	if err := s.checkBatch(len(req.Contexts)); err != nil {
+		return err
 	}
 
 	// serve.slow is the gray-failure chaos site: a latency-only fault,
@@ -160,25 +143,21 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	// real capacity), keyed per node so one replica can be skewed — even
 	// when a whole test ring shares one in-process injector — via the
 	// site name serve.slow.<node>.
-	if faults.Enabled() && s.opts.NodeName != "" {
-		site := faults.SiteServeSlow + "." + s.opts.NodeName
-		key := fmt.Sprintf("%s@%d/%d#%d", req.Contexts[0].SessionID, req.Contexts[0].T, req.Contexts[0].N, len(req.Contexts))
-		_ = faults.Inject(site, key, faults.KindLatency)
+	if faults.Enabled() && s.node != "" {
+		_ = faults.Inject(faults.SiteServeSlow+"."+s.node, wireKey(req.Contexts), faults.KindLatency)
 	}
 
 	ctxs, err := decodeAll(req.Contexts)
 	if err != nil {
-		s.clientError(w, http.StatusBadRequest, err)
-		return
+		return withStatus(http.StatusBadRequest, err)
 	}
 	results := make([][]knn.Candidate, len(ctxs))
 	for i, q := range ctxs {
 		// Honor budget exhaustion between per-query scans: a cancelled
 		// caller gains nothing from the remaining queries, and the 504
 		// tells a still-listening router the failure is retryable.
-		if rctx.Err() != nil {
-			deadlineExceeded(w, tr)
-			return
+		if ctx.Err() != nil {
+			return errBudgetExhausted
 		}
 		cds := sm.clf.Candidates(q)
 		for j := range cds {
@@ -192,6 +171,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		Checksum:   am.info.Checksum,
 		Results:    results,
 	})
+	return nil
 }
 
 // handleSnapshotPush is POST /v1/admin/snapshot — the receiving end of
@@ -201,41 +181,32 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 // hot-reloaded through the same validate-and-swap path as any reload. A
 // corrupt push can therefore never destroy a replica's good snapshot.
 func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	if !allow(w, r, http.MethodPost) {
 		return
 	}
-	if s.opts.ModelPath == "" || s.opts.Reloader == nil {
+	if s.modelPath == "" || s.reloader == nil {
 		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: "snapshot push not enabled (no model path or reloader)"})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotPush))
+	body, err := readBody(w, r, maxSnapshotPush)
 	if err != nil {
-		s.clientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read snapshot body: %w", err))
+		s.fail(w, nil, err)
 		return
 	}
 	if _, err := snapshot.Read(bytes.NewReader(body)); err != nil {
-		s.clientError(w, http.StatusBadRequest, fmt.Errorf("pushed snapshot rejected: %w", err))
+		s.fail(w, nil, withStatus(http.StatusBadRequest, fmt.Errorf("pushed snapshot rejected: %w", err)))
 		return
 	}
-	if err := atomicio.WriteFile(s.opts.ModelPath, func(w io.Writer) error {
+	if err := atomicio.WriteFile(s.modelPath, func(w io.Writer) error {
 		_, err := w.Write(body)
 		return err
 	}); err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("write snapshot: %v", err)})
 		return
 	}
-	st, err := s.Reload()
-	switch {
-	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-	default:
-		if obs.On() {
-			mSnapshotPush.Inc()
-		}
-		writeJSON(w, http.StatusOK, st)
+	code, resp := s.reload()
+	if code == http.StatusOK && obs.On() {
+		mSnapshotPush.Inc()
 	}
+	writeJSON(w, code, resp)
 }
